@@ -270,17 +270,11 @@ let profile_flag =
           "Profile the event engine: per-event-tag wall-clock totals and \
            histograms, merged across all seeds/workers.")
 
-let partitions_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "partitions" ] ~docv:"K"
-        ~doc:
-          "Run each simulation on $(docv) space partitions (one \
-           conservatively-synchronized engine per partition; see DESIGN.md \
-           §17).  Metrics, traces and digests are byte-identical to the \
-           default single-engine run — this knob changes execution \
-           machinery, not results.")
+let print_merged_counters = function
+  | [] -> ()
+  | s :: rest ->
+      Format.printf "@.%a" Obs.Counters.pp
+        (List.fold_left Obs.Counters.merge s rest)
 
 let mesh_flag =
   Arg.(
@@ -291,17 +285,19 @@ let mesh_flag =
            over one shared event stream, and the resolved origin's prefix is \
            withdrawn after warm-up ($(b,--event)/$(b,--scenario) are \
            ignored).  Prints one row per seed; $(b,--trace) records the \
-           per-prefix-tagged trace of the first seed.")
+           per-prefix-tagged trace of the first seed and $(b,--counters) \
+           prints the registry merged across seeds.  $(b,--profile) and \
+           $(b,--jobs) above 1 are rejected.")
 
 (* One full-mesh run per seed, sequentially (the runs share nothing, but
    mesh rows report wall-clock throughput, so no --jobs overlap). *)
 let run_mesh ~(spec : Bgpsim.Experiment.spec) ~seeds:seedl ~trace_file
-    ~trace_format =
+    ~trace_format ~counters =
   let graph, victim, _event = Bgpsim.Experiment.resolve spec in
   let config =
     Bgp.Config.of_enhancement ~mrai:spec.mrai spec.enhancement
   in
-  let rows =
+  let results =
     List.mapi
       (fun i sd ->
         let sink =
@@ -309,15 +305,8 @@ let run_mesh ~(spec : Bgpsim.Experiment.spec) ~seeds:seedl ~trace_file
           | Some path when i = 0 -> trace_sink path trace_format
           | Some _ | None -> Obs.Sink.null
         in
-        let obs = Obs.Bus.create ~sink () in
-        let partitions =
-          match spec.partitions with
-          | None -> None
-          | Some k ->
-              Some
-                (Bgpsim.Partition.assignment
-                   (Bgpsim.Partition.compute ~seed:sd ~graph ~k))
-        in
+        let regs = if counters then Some (Obs.Counters.create ()) else None in
+        let obs = Obs.Bus.create ~sink ?counters:regs () in
         let t0 = Unix.gettimeofday () in
         let o =
           Fun.protect
@@ -325,7 +314,7 @@ let run_mesh ~(spec : Bgpsim.Experiment.spec) ~seeds:seedl ~trace_file
             (fun () ->
               Bgp.Mesh_sim.run ~config ~max_events:spec.max_events
                 ?max_vtime:spec.max_vtime ~invariants:spec.invariants ~obs
-                ?partitions ~graph ~victim ~seed:sd ())
+                ~graph ~victim ~seed:sd ())
         in
         let wall = Unix.gettimeofday () -. t0 in
         let until = o.victim_convergence_end in
@@ -336,21 +325,22 @@ let run_mesh ~(spec : Bgpsim.Experiment.spec) ~seeds:seedl ~trace_file
               (c + a.count, s +. a.total_loop_seconds))
             (0, 0.) o.loop_reports
         in
-        [
-          string_of_int sd;
-          string_of_int (List.length o.prefixes);
-          string_of_int o.events_executed;
-          Printf.sprintf "%.3f" wall;
-          (if wall > 0. then
-             Printf.sprintf "%.0f" (float_of_int o.events_executed /. wall)
-           else "-");
-          Bgpsim.Report.float_cell (Bgp.Mesh_sim.convergence_time o);
-          (if o.converged then "yes" else "NO");
-          string_of_int o.victim_messages;
-          string_of_int o.background_messages;
-          string_of_int loops;
-          Printf.sprintf "%.1f" loop_s;
-        ])
+        ( [
+            string_of_int sd;
+            string_of_int (List.length o.prefixes);
+            string_of_int o.events_executed;
+            Printf.sprintf "%.3f" wall;
+            (if wall > 0. then
+               Printf.sprintf "%.0f" (float_of_int o.events_executed /. wall)
+             else "-");
+            Bgpsim.Report.float_cell (Bgp.Mesh_sim.convergence_time o);
+            (if o.converged then "yes" else "NO");
+            string_of_int o.victim_messages;
+            string_of_int o.background_messages;
+            string_of_int loops;
+            Printf.sprintf "%.1f" loop_s;
+          ],
+          Option.map Obs.Counters.snapshot regs ))
       seedl
   in
   print_string
@@ -365,24 +355,25 @@ let run_mesh ~(spec : Bgpsim.Experiment.spec) ~seeds:seedl ~trace_file
            "seed"; "prefixes"; "events"; "wall(s)"; "ev/s"; "conv(s)";
            "conv?"; "victim-msg"; "bg-msg"; "loops"; "loop-s";
          ]
-       ~rows);
-  match trace_file with
+       ~rows:(List.map fst results));
+  (match trace_file with
   | Some path when Sys.file_exists path ->
       Format.printf "@.trace %s  digest %s@." path
         (trace_jsonl_digest path trace_format)
-  | Some _ | None -> ()
+  | Some _ | None -> ());
+  print_merged_counters (List.filter_map snd results)
 
 let run_cmd =
   let action topology event scenario invariants max_events max_vtime preflight
       enhancement mrai seed seeds jobs trace_file trace_format counters profile
-      mesh partitions =
+      mesh =
+    if mesh && (profile || jobs > 1) then begin
+      prerr_endline "run: --mesh cannot be combined with --profile or --jobs > 1";
+      exit 2
+    end;
     let spec =
-      {
-        (spec_of ?scenario ~invariants ~max_events ?max_vtime ~preflight
-           topology event enhancement mrai seed)
-        with
-        partitions;
-      }
+      spec_of ?scenario ~invariants ~max_events ?max_vtime ~preflight topology
+        event enhancement mrai seed
     in
     let seedl = seed_list ~seed ~seeds in
     Format.printf "%s  event=%s  enhancement=%a  mrai=%gs  seeds=%d@."
@@ -393,7 +384,7 @@ let run_cmd =
       Format.printf "@.%a@." Analysis.Preflight.pp
         (Bgpsim.Experiment.analyze spec);
     if mesh then
-      run_mesh ~spec ~seeds:seedl ~trace_file ~trace_format
+      run_mesh ~spec ~seeds:seedl ~trace_file ~trace_format ~counters
     else if trace_file = None && not (counters || profile) then begin
       let robust = Bgpsim.Sweep.over_seeds_robust ~jobs spec ~seeds:seedl in
       (match robust.metrics with
@@ -443,11 +434,7 @@ let run_cmd =
           Format.printf "@.trace %s  digest %s@." path
             (trace_jsonl_digest path trace_format)
       | Some _ | None -> ());
-      (match List.filter_map (fun (_, c, _) -> c) ok with
-      | [] -> ()
-      | s :: rest ->
-          Format.printf "@.%a" Obs.Counters.pp
-            (List.fold_left Obs.Counters.merge s rest));
+      print_merged_counters (List.filter_map (fun (_, c, _) -> c) ok);
       match List.filter_map (fun (_, _, p) -> p) ok with
       | [] -> ()
       | p :: rest ->
@@ -460,8 +447,7 @@ let run_cmd =
       const action $ topology_arg $ event_arg $ scenario_arg $ invariants_arg
       $ max_events_arg $ max_vtime_arg $ preflight_arg $ enhancement_arg
       $ mrai_arg $ seed_arg $ seeds_arg $ jobs_arg $ trace_file_arg
-      $ trace_format_arg $ counters_flag $ profile_flag $ mesh_flag
-      $ partitions_arg)
+      $ trace_format_arg $ counters_flag $ profile_flag $ mesh_flag)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Simulate one failure scenario and print its metrics")
@@ -618,22 +604,9 @@ let golden_cmd =
             "Instead of printing, compare the recomputed digests against the \
              committed fixture file and exit nonzero on any mismatch.")
   in
-  let partitions_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "partitions" ] ~docv:"K"
-          ~doc:
-            "Recompute every digest on $(docv) space partitions \
-             (conservative parallel executor).  The digests must come out \
-             identical to the sequential ones — the committed fixture file \
-             never forks per partition count, so '--check --partitions 2' \
-             is the partitioned-determinism smoke test.")
-  in
-  let action check partitions =
+  let action check =
     match check with
-    | None ->
-        List.iter print_endline (Bgpsim.Golden.digest_lines ?partitions ())
+    | None -> List.iter print_endline (Bgpsim.Golden.digest_lines ())
     | Some path ->
         let ic = open_in path in
         let len = in_channel_length ic in
@@ -654,12 +627,12 @@ let golden_cmd =
         in
         List.iter
           (fun (f : Bgpsim.Golden.fixture) ->
-            check f.name (Bgpsim.Golden.digest ?partitions f))
+            check f.name (Bgpsim.Golden.digest f))
           Bgpsim.Golden.fixtures;
-        check Bgpsim.Golden.mesh_name (Bgpsim.Golden.mesh_digest ?partitions ());
+        check Bgpsim.Golden.mesh_name (Bgpsim.Golden.mesh_digest ());
         if !bad > 0 then exit 1
   in
-  let term = Term.(const action $ check_arg $ partitions_arg) in
+  let term = Term.(const action $ check_arg) in
   Cmd.v
     (Cmd.info "golden"
        ~doc:

@@ -250,6 +250,8 @@ let empty_loops : Loopscan.Scanner.report =
   }
 
 let run ?obs ?profile ?watchdog spec =
+  if Option.is_some spec.partitions then
+    invalid_arg "Experiment.run: partitions must be None";
   let wall_start = Unix.gettimeofday () in
   (* One watchdog covers the whole run — simulation AND the post-run
      analysis passes, which previously had no budget at all (a wedged
@@ -278,22 +280,11 @@ let run ?obs ?profile ?watchdog spec =
         Analysis.Preflight.gate spec.preflight report;
         Some report
   in
-  (* The node-to-partition assignment is derived from the run's own
-     seed, so a partitioned spec is as reproducible as a sequential
-     one; the executor guarantees the outcome is identical either
-     way. *)
-  let partitions =
-    match spec.partitions with
-    | None -> None
-    | Some k ->
-        Some
-          (Partition.assignment (Partition.compute ~seed:spec.seed ~graph ~k))
-  in
   let outcome =
     Bgp.Routing_sim.run ~params:spec.params ~config
       ~max_events:spec.max_events ?max_vtime:spec.max_vtime
-      ~invariants:spec.invariants ?obs ?profile ~watchdog:wd ?partitions
-      ~graph ~origin ~event ~seed:spec.seed ()
+      ~invariants:spec.invariants ?obs ?profile ~watchdog:wd ~graph ~origin
+      ~event ~seed:spec.seed ()
   in
   let fib = Netcore.Trace.fib outcome.trace in
   let window_end = outcome.convergence_end +. spec.replay_tail in

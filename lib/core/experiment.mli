@@ -70,11 +70,10 @@ type spec = {
           [Unsafe] policy verdict or a scenario lint error such as a
           dangling link reference) *)
   partitions : int option;
-      (** run the simulation on [k] space partitions via the
-          conservative executor ({!Partition}, {!Netcore.Fabric});
-          [None] (default) is the classic single-engine path.  The
-          outcome and trace are byte-identical either way — this knob
-          changes execution machinery, not results. *)
+      (** must be [None]: {!run} raises [Invalid_argument] on [Some _].
+          The field exists only so the fixed benchmark, which asserts
+          it is [None], compiles; the next benchmark change removes
+          it. *)
 }
 
 val default_spec : topology -> spec
@@ -162,7 +161,8 @@ val run :
     with a fake clock).  The watchdog covers the simulation and every
     post-run analysis phase: each phase re-checks expiry before
     starting and degrades to its empty fallback once the budget is
-    gone. *)
+    gone.
+    @raise Invalid_argument if [spec.partitions] is not [None]. *)
 
 val metrics : spec -> Metrics.Run_metrics.t
 (** [metrics spec = (run spec).metrics]. *)

@@ -126,6 +126,14 @@ let test_run_determinism () =
   Alcotest.(check int) "exh" a.ttl_exhaustions b.ttl_exhaustions;
   Alcotest.(check int) "packets" a.packets_sent b.packets_sent
 
+(* The field survives only for the fixed benchmark; a run must refuse
+   it rather than silently run sequentially. *)
+let test_run_rejects_partitions () =
+  let spec = Experiment.default_spec (Experiment.Clique 4) in
+  Alcotest.check_raises "partitions"
+    (Invalid_argument "Experiment.run: partitions must be None") (fun () ->
+      ignore (Experiment.run { spec with partitions = Some 2 }))
+
 let non_converged_spec =
   (* a 50-event budget exhausts mid-warm-up on a clique-8 T_down *)
   { (Experiment.default_spec (Experiment.Clique 8)) with max_events = 50 }
@@ -350,6 +358,7 @@ let () =
         [
           tc "custom topology" test_run_custom_topology;
           tc "deterministic" test_run_determinism;
+          tc "rejects partitions" test_run_rejects_partitions;
           tc "non-converged still timed" test_non_converged_still_timed;
           tc "non-converged vtime budget timed"
             test_non_converged_vtime_budget_timed;

@@ -157,78 +157,6 @@ let test_wrong_rule_does_not_suppress () =
   in
   Alcotest.(check int) "still open" 1 (Report.open_count report)
 
-(* --- the partitioned-executor modules are covered by the scan --- *)
-
-(* [dune runtest] runs in _build/default/test; [dune exec] runs from
-   the invocation directory — try both spellings of each path. *)
-let locate candidates =
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None ->
-      Alcotest.failf "none of [%s] exist (build the tree first)"
-        (String.concat "; " candidates)
-
-let both p = [ Filename.concat ".." p; Filename.concat "_build/default" p ]
-
-let partition_units =
-  [
-    ( "Dessim.Channel",
-      "lib/dessim/.dessim.objs/byte/dessim__Channel.cmt",
-      "lib/dessim/channel.ml" );
-    ( "Dessim.Cluster",
-      "lib/dessim/.dessim.objs/byte/dessim__Cluster.cmt",
-      "lib/dessim/cluster.ml" );
-    ( "Netcore.Fabric",
-      "lib/netcore/.netcore.objs/byte/netcore__Fabric.cmt",
-      "lib/netcore/fabric.ml" );
-    ( "Bgpsim.Partition",
-      "lib/core/.bgpsim.objs/byte/bgpsim__Partition.cmt",
-      "lib/core/partition.ml" );
-  ]
-
-let test_partition_modules_covered () =
-  (* the analyzer must load each new unit from its real cmt, and every
-     finding in it must be suppressed by an in-source justified
-     comment — the same pass `dune build @lint` runs over the tree *)
-  let scan_source file = Suppress.scan_file (locate (both file)) in
-  List.iter
-    (fun (label, cmt, _src) ->
-      match Analyze.analyze_cmt (locate (both cmt)) with
-      | Error e -> Alcotest.failf "%s: %s" label e
-      | Ok (_, findings) ->
-          let report =
-            Report.build ~findings ~scan_source ~allows:[] ~allow_errors:[]
-          in
-          Alcotest.(check int)
-            (label ^ ": no open findings")
-            0 (Report.open_count report);
-          if label = "Dessim.Cluster" then
-            (* the commit loop's float tie-breaks must register as
-               suppressed findings, not as silence — proof the rule
-               actually visits the new code *)
-            Alcotest.(check bool)
-              "cluster D004 sites fire and are comment-suppressed" true
-              (Report.suppressed_count report >= 1))
-    partition_units
-
-let test_partition_modules_not_allowlisted () =
-  (* per-site suppressions only: the committed allowlist must carry no
-     blanket entry for any of the new files *)
-  let allows, errs = Suppress.parse_allowlist (locate (both "lint_allowlist.txt")) in
-  Alcotest.(check (list string)) "allowlist parses" [] errs;
-  List.iter
-    (fun (label, _cmt, src) ->
-      List.iter
-        (fun rule ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s not allowlisted for %s" label (Rule.id rule))
-            false
-            (List.exists
-               (fun a -> Suppress.allow_covers a ~rule ~file:src)
-               allows))
-        Rule.all)
-    partition_units
-
 (* --- JSON round-trip --- *)
 
 let test_json_roundtrip () =
@@ -314,12 +242,5 @@ let () =
         [
           tc "round-trip" test_json_roundtrip;
           tc "schema tag" test_json_schema_tag;
-        ] );
-      ( "tree coverage",
-        [
-          tc "partitioned executor modules scanned"
-            test_partition_modules_covered;
-          tc "partitioned executor modules not allowlisted"
-            test_partition_modules_not_allowlisted;
         ] );
     ]
