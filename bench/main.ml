@@ -670,9 +670,9 @@ let interference () =
   let scenarios =
     [
       ("quiet", None);
-      ("flap every 60s", Some { Bgp.Multi_sim.period = 60.; cycles = 8; flappers });
-      ("flap every 30s", Some { Bgp.Multi_sim.period = 30.; cycles = 16; flappers });
-      ("flap every 10s", Some { Bgp.Multi_sim.period = 10.; cycles = 48; flappers });
+      ("flap every 60s", Some { Bgp.Mesh_sim.period = 60.; cycles = 8; flappers });
+      ("flap every 30s", Some { Bgp.Mesh_sim.period = 30.; cycles = 16; flappers });
+      ("flap every 10s", Some { Bgp.Mesh_sim.period = 10.; cycles = 48; flappers });
     ]
   in
   let rows =
@@ -682,7 +682,7 @@ let interference () =
           List.map
             (fun seed ->
               let o =
-                Bgp.Multi_sim.run ?churn ~graph ~origins ~victim:0 ~seed ()
+                Bgp.Mesh_sim.run ?churn ~graph ~origins ~victim:0 ~seed ()
               in
               let fib = List.assoc o.victim o.prefixes in
               let replay =
@@ -693,7 +693,7 @@ let interference () =
                   ~seed:(seed + 13)
                   ~ratio_cutoff:o.victim_convergence_end ()
               in
-              ( Bgp.Multi_sim.convergence_time o,
+              ( Bgp.Mesh_sim.convergence_time o,
                 float_of_int replay.exhausted,
                 float_of_int o.background_messages ))
             seeds_default

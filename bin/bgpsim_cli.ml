@@ -276,6 +276,12 @@ let print_merged_counters = function
       Format.printf "@.%a" Obs.Counters.pp
         (List.fold_left Obs.Counters.merge s rest)
 
+let print_merged_profile = function
+  | [] -> ()
+  | p :: rest ->
+      List.iter (fun src -> Obs.Profile.merge_into ~src ~dst:p) rest;
+      Format.printf "@.%a" Obs.Profile.pp p
+
 let mesh_flag =
   Arg.(
     value & flag
@@ -283,17 +289,18 @@ let mesh_flag =
         ~doc:
           "Full-mesh multi-prefix mode: every node originates its own prefix \
            over one shared event stream, and the resolved origin's prefix is \
-           withdrawn after warm-up ($(b,--event)/$(b,--scenario) are \
-           ignored).  Prints one row per seed; $(b,--trace) records the \
-           per-prefix-tagged trace of the first seed and $(b,--counters) \
-           prints the registry merged across seeds.  $(b,--profile) and \
-           $(b,--jobs) above 1 are rejected.")
+           withdrawn after warm-up.  Prints one row per seed; $(b,--trace) \
+           records the per-prefix-tagged trace of the first seed, and \
+           $(b,--counters) and $(b,--profile) print the registry and the \
+           engine profile merged across seeds.  $(b,--scenario), an \
+           $(b,--event) other than tdown, and $(b,--jobs) above 1 are \
+           rejected.")
 
 (* One full-mesh run per seed, sequentially (the runs share nothing, but
    mesh rows report wall-clock throughput, so no --jobs overlap). *)
 let run_mesh ~(spec : Bgpsim.Experiment.spec) ~seeds:seedl ~trace_file
-    ~trace_format ~counters =
-  let graph, victim, _event = Bgpsim.Experiment.resolve spec in
+    ~trace_format ~counters ~profile =
+  let graph, victim, _tdown = Bgpsim.Experiment.resolve spec in
   let config =
     Bgp.Config.of_enhancement ~mrai:spec.mrai spec.enhancement
   in
@@ -307,6 +314,8 @@ let run_mesh ~(spec : Bgpsim.Experiment.spec) ~seeds:seedl ~trace_file
         in
         let regs = if counters then Some (Obs.Counters.create ()) else None in
         let obs = Obs.Bus.create ~sink ?counters:regs () in
+        let prof = if profile then Some (Obs.Profile.create ()) else None in
+        let watchdog = Faults.Watchdog.create ?max_wall_s:spec.max_wall_s () in
         let t0 = Unix.gettimeofday () in
         let o =
           Fun.protect
@@ -314,7 +323,7 @@ let run_mesh ~(spec : Bgpsim.Experiment.spec) ~seeds:seedl ~trace_file
             (fun () ->
               Bgp.Mesh_sim.run ~config ~max_events:spec.max_events
                 ?max_vtime:spec.max_vtime ~invariants:spec.invariants ~obs
-                ~graph ~victim ~seed:sd ())
+                ?profile:prof ~watchdog ~graph ~victim ~seed:sd ())
         in
         let wall = Unix.gettimeofday () -. t0 in
         let until = o.victim_convergence_end in
@@ -340,7 +349,8 @@ let run_mesh ~(spec : Bgpsim.Experiment.spec) ~seeds:seedl ~trace_file
             string_of_int loops;
             Printf.sprintf "%.1f" loop_s;
           ],
-          Option.map Obs.Counters.snapshot regs ))
+          Option.map Obs.Counters.snapshot regs,
+          prof ))
       seedl
   in
   print_string
@@ -355,21 +365,30 @@ let run_mesh ~(spec : Bgpsim.Experiment.spec) ~seeds:seedl ~trace_file
            "seed"; "prefixes"; "events"; "wall(s)"; "ev/s"; "conv(s)";
            "conv?"; "victim-msg"; "bg-msg"; "loops"; "loop-s";
          ]
-       ~rows:(List.map fst results));
+       ~rows:(List.map (fun (row, _, _) -> row) results));
   (match trace_file with
   | Some path when Sys.file_exists path ->
       Format.printf "@.trace %s  digest %s@." path
         (trace_jsonl_digest path trace_format)
   | Some _ | None -> ());
-  print_merged_counters (List.filter_map snd results)
+  print_merged_counters (List.filter_map (fun (_, c, _) -> c) results);
+  print_merged_profile (List.filter_map (fun (_, _, p) -> p) results)
 
 let run_cmd =
   let action topology event scenario invariants max_events max_vtime preflight
       enhancement mrai seed seeds jobs trace_file trace_format counters profile
       mesh =
-    if mesh && (profile || jobs > 1) then begin
-      prerr_endline "run: --mesh cannot be combined with --profile or --jobs > 1";
+    let usage msg =
+      prerr_endline ("run: " ^ msg);
       exit 2
+    in
+    if mesh then begin
+      if jobs > 1 then usage "--mesh cannot be combined with --jobs > 1";
+      if Option.is_some scenario then
+        usage "--mesh cannot be combined with --scenario";
+      match event with
+      | Bgpsim.Experiment.Tdown -> ()
+      | _ -> usage "--mesh withdraws the victim's prefix: --event must be tdown"
     end;
     let spec =
       spec_of ?scenario ~invariants ~max_events ?max_vtime ~preflight topology
@@ -384,7 +403,7 @@ let run_cmd =
       Format.printf "@.%a@." Analysis.Preflight.pp
         (Bgpsim.Experiment.analyze spec);
     if mesh then
-      run_mesh ~spec ~seeds:seedl ~trace_file ~trace_format ~counters
+      run_mesh ~spec ~seeds:seedl ~trace_file ~trace_format ~counters ~profile
     else if trace_file = None && not (counters || profile) then begin
       let robust = Bgpsim.Sweep.over_seeds_robust ~jobs spec ~seeds:seedl in
       (match robust.metrics with
@@ -435,11 +454,7 @@ let run_cmd =
             (trace_jsonl_digest path trace_format)
       | Some _ | None -> ());
       print_merged_counters (List.filter_map (fun (_, c, _) -> c) ok);
-      match List.filter_map (fun (_, _, p) -> p) ok with
-      | [] -> ()
-      | p :: rest ->
-          List.iter (fun src -> Obs.Profile.merge_into ~src ~dst:p) rest;
-          Format.printf "@.%a" Obs.Profile.pp p
+      print_merged_profile (List.filter_map (fun (_, _, p) -> p) ok)
     end
   in
   let term =

@@ -15,15 +15,19 @@
     chronologically interleaved with the forwarding changes that caused
     them.
 
-    Restricted to a single origin, a run evolves identically to
-    {!Multi_sim} — same RNG stream, same event schedule, same FIB
-    histories and convergence numbers; the differential suite in
-    test/test_mesh.ml enforces this. *)
+    Given a few [origins], it is the multi-origin study: the victim's
+    convergence-critical updates queue behind background churn on the
+    same routers, which the single-prefix study cannot see.  With one
+    origin it evolves exactly as {!Routing_sim.run} with [Tdown] on the
+    same graph and seed (test/test_differential.ml checks this). *)
 
-type churn = Multi_sim.churn = {
+type churn = {
   period : float;
+      (** a flapping origin withdraws its prefix, re-announces it half
+          a period later, and repeats *)
   cycles : int;
-  flappers : int list;
+      (** number of withdraw/re-announce cycles, from the failure time *)
+  flappers : int list;  (** indices into [origins] of the flapping ones *)
 }
 
 type outcome = {
@@ -45,7 +49,7 @@ type outcome = {
   victim_messages : int;
   background_messages : int;
   converged : bool;
-  termination : Routing_sim.termination;
+  termination : Network.termination;
       (** how the post-failure phase ended *)
   invariant_violations : (Faults.Invariant.kind * int) list;
   paths_interned : int;
@@ -63,6 +67,8 @@ val run :
   ?max_vtime:float ->
   ?invariants:Faults.Invariant.mode ->
   ?obs:Obs.Bus.t ->
+  ?profile:Obs.Profile.t ->
+  ?watchdog:Faults.Watchdog.t ->
   graph:Topo.Graph.t ->
   victim:int ->
   seed:int ->
@@ -72,6 +78,11 @@ val run :
     (default: every node), converges, then withdraws the prefix of
     [origins[victim]].  With [churn], the listed origins flap for the
     configured number of cycles starting at the failure time.
+    Defaults: paper parameters and BGP configuration, [max_events =
+    40_000_000], no virtual-time or wall budget, invariants [Off].
+
+    [obs], [profile] and [watchdog] act as in {!Routing_sim.run}; a
+    run the watchdog cuts ends with [Wall_budget], not an exception.
     @raise Invalid_argument on an empty or out-of-range
     [origins]/[victim], duplicate origins, a flapper index equal to
     [victim], a disconnected graph, or non-positive budgets. *)

@@ -41,8 +41,8 @@ type event =
           [t_fail] and chaos knobs arm at [t_fail], keeping warm-up
           clean *)
 
-(** Why the run stopped. *)
-type termination =
+(** Why the run stopped (see {!Network.drain}). *)
+type termination = Network.termination =
   | Drained  (** the event queue emptied: the network converged *)
   | Event_budget  (** [max_events] fired first — a would-be hang *)
   | Vtime_budget  (** the next event lies beyond [max_vtime] *)

@@ -1,11 +1,11 @@
 (* Differential lockdown of the interned-path refactor (DESIGN.md §12).
 
-   Two independent simulators answer the same question for a single
-   prefix: [Routing_sim.run ~event:Tdown] and
-   [Multi_sim.run ~origins:[o] ~victim:0] perform identical event
-   schedules (same RNG split order, same originate/inject times, same
-   link set), so their FIB histories and forwarding-loop reports must
-   match change for change.  Any divergence — a missed intern, an
+   Two workloads answer the same question for a single prefix:
+   [Routing_sim.run ~event:Tdown] and [Mesh_sim.run ~origins:[o]
+   ~victim:0] script the same event schedule on a [Network] (same RNG
+   split order, same originate/inject times, same link set), so their
+   FIB histories and forwarding-loop reports must match change for
+   change.  Any divergence — a missed intern, an
    arena-dependent comparison, an ordering change in the decision
    process — shows up here before it shows up in a golden digest.
 
@@ -33,11 +33,11 @@ let loops ~fib ~origin ~from =
   let r = Loopscan.Scanner.scan ~fib ~origin ~from () in
   List.map loop_repr r.loops
 
-(* --- Routing_sim vs Multi_sim on one prefix --- *)
+(* --- Routing_sim vs Mesh_sim on one prefix --- *)
 
 let check_single_prefix_equivalence ~name ~graph ~origin ~seed =
   let rs = Bgp.Routing_sim.run ~graph ~origin ~event:Tdown ~seed () in
-  let ms = Bgp.Multi_sim.run ~graph ~origins:[ origin ] ~victim:0 ~seed () in
+  let ms = Bgp.Mesh_sim.run ~graph ~origins:[ origin ] ~victim:0 ~seed () in
   let ms_fib =
     match ms.prefixes with
     | [ (_, fib) ] -> fib
@@ -59,7 +59,21 @@ let check_single_prefix_equivalence ~name ~graph ~origin ~seed =
   Alcotest.(check (list string))
     (name ^ ": forwarding loops")
     (loops ~fib:rs_fib ~origin ~from:rs.t_fail)
-    (loops ~fib:ms_fib ~origin ~from:ms.t_fail)
+    (loops ~fib:ms_fib ~origin ~from:ms.t_fail);
+  Alcotest.(check int)
+    (name ^ ": messages after the failure")
+    (rs.updates_after_fail + rs.withdrawals_after_fail)
+    ms.victim_messages;
+  Alcotest.(check int) (name ^ ": events") rs.events_executed ms.events_executed;
+  (* the mesh's streaming scan vs a post-hoc scan of Routing_sim's
+     history: both workloads and both scanner implementations agree *)
+  match ms.loop_reports with
+  | [ (_, streamed) ] ->
+      Alcotest.(check bool)
+        (name ^ ": streamed loop report")
+        true
+        (streamed = Loopscan.Scanner.scan ~fib:rs_fib ~origin ~from:rs.t_fail ())
+  | l -> Alcotest.fail (fmt "%s: %d loop reports, want 1" name (List.length l))
 
 let tdown_fixture_graphs () =
   List.filter_map

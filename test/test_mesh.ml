@@ -1,11 +1,11 @@
-(* The full-mesh differential + property wall.
+(* The full-mesh test wall.
 
-   Differential: Mesh_sim restricted to one prefix must reproduce
-   Multi_sim exactly — same FIB histories, same loop reports, same
-   convergence accounting — on the golden-fixture graphs and on a
-   sweep of seeded internet graphs.  Multi_sim is in turn pinned to
-   Routing_sim by test_multi_sim, so the chain reaches the original
-   single-prefix simulation.
+   Behaviour: the multi-origin case (a few origins, one victim T_down,
+   optional background flaps) keeps per-prefix forwarding independent
+   and accounts victim and background messages apart; a single origin
+   reproduces Routing_sim (test_differential checks that change for
+   change).  Budgets: Routing_sim and Mesh_sim classify every way a run
+   can stop identically, and a mesh run honours a wall budget.
 
    Properties: the batched per-peer MRAI releases each pending key
    exactly once per expiry and behaves like one independent timer per
@@ -13,79 +13,167 @@
    streaming per-prefix loop scans of a mesh run equal N independent
    post-hoc scans of its FIB histories. *)
 
-let fib_changes fib = Netcore.Fib_history.changes_from fib ~from:neg_infinity
+(* --- multi-origin behaviour and validation --- *)
 
-(* Mesh_sim with a single origin vs Multi_sim on the same graph/seed:
-   every observable result must coincide. *)
-let check_mesh_equals_multi ?churn ~graph ~origin ~seed name =
-  let mesh =
-    Bgp.Mesh_sim.run ?churn ~graph ~origins:[ origin ] ~victim:0 ~seed ()
-  in
-  let multi =
-    Bgp.Multi_sim.run ?churn ~graph ~origins:[ origin ] ~victim:0 ~seed ()
-  in
-  Alcotest.(check (float 0.)) (name ^ ": t_fail") multi.t_fail mesh.t_fail;
-  Alcotest.(check (float 0.))
-    (name ^ ": convergence end")
-    multi.victim_convergence_end mesh.victim_convergence_end;
-  Alcotest.(check int)
-    (name ^ ": victim messages")
-    multi.victim_messages mesh.victim_messages;
-  Alcotest.(check int)
-    (name ^ ": background messages")
-    multi.background_messages mesh.background_messages;
-  Alcotest.(check bool) (name ^ ": converged") multi.converged mesh.converged;
-  Alcotest.(check bool)
-    (name ^ ": termination")
-    true
-    (mesh.termination = multi.termination);
-  Alcotest.(check int)
-    (name ^ ": paths interned")
-    multi.paths_interned mesh.paths_interned;
-  let mesh_fib = snd (List.hd mesh.prefixes) in
-  let multi_fib = snd (List.hd multi.prefixes) in
-  Alcotest.(check bool)
-    (name ^ ": FIB histories identical")
-    true
-    (fib_changes mesh_fib = fib_changes multi_fib);
-  (* the mesh's streaming loop scan vs a post-hoc scan of Multi_sim's
-     own history — the two simulations AND the two scanner
-     implementations must agree *)
-  let posthoc =
-    Loopscan.Scanner.scan ~fib:multi_fib ~origin ~from:multi.t_fail ()
-  in
-  match mesh.loop_reports with
-  | [ (_, streamed) ] ->
-      Alcotest.(check bool)
-        (name ^ ": loop reports identical")
-        true (streamed = posthoc)
-  | reports ->
-      Alcotest.failf "%s: expected one loop report, got %d" name
-        (List.length reports)
+let clique = Topo.Generators.clique 6
 
-let test_differential_golden_graphs () =
-  check_mesh_equals_multi ~graph:(Topo.Generators.clique 5) ~origin:0 ~seed:1
-    "clique5";
-  check_mesh_equals_multi ~graph:(Topo.Generators.b_clique 5) ~origin:0 ~seed:1
-    "bclique5";
-  check_mesh_equals_multi ~graph:(Topo.Generators.chain 6) ~origin:0 ~seed:1
-    "chain6";
-  (* background churn flows through the same injection schedule *)
-  check_mesh_equals_multi
-    ~churn:{ Bgp.Multi_sim.period = 20.; cycles = 2; flappers = [] }
-    ~graph:(Topo.Generators.clique 5) ~origin:0 ~seed:2 "clique5-churn"
+let run ?churn ?config ~origins ~victim () =
+  Bgp.Mesh_sim.run ?churn ?config ~graph:clique ~origins ~victim ~seed:1 ()
 
-let test_differential_internet_sweep () =
-  (* 20 seeded internet graphs: 5 sizes x 4 seeds *)
+let test_all_prefixes_converge () =
+  let o = run ~origins:[ 0; 1; 2 ] ~victim:0 () in
+  Alcotest.(check bool) "converged" true o.converged;
+  Alcotest.(check int) "three prefixes" 3 (List.length o.prefixes);
+  (* before the failure every node routes every prefix *)
+  let before = o.t_fail -. 1. in
   List.iter
-    (fun size ->
+    (fun (prefix, fib) ->
+      let origin = Bgp.Prefix.origin prefix in
       List.iter
-        (fun seed ->
-          let graph = Topo.Internet.generate ~seed size in
-          check_mesh_equals_multi ~graph ~origin:0 ~seed
-            (Printf.sprintf "internet-%d seed %d" size seed))
-        [ 1; 2; 3; 4 ])
-    [ 10; 12; 14; 16; 18 ]
+        (fun v ->
+          if v <> origin then
+            Alcotest.(check bool)
+              (Printf.sprintf "node %d routes %d" v origin)
+              true
+              (Netcore.Fib_history.lookup fib ~node:v ~time:before <> None))
+        (Topo.Graph.nodes clique))
+    o.prefixes
+
+let test_victim_tdown_only_hits_victim () =
+  let o = run ~origins:[ 0; 1; 2 ] ~victim:1 () in
+  let late = o.victim_convergence_end +. 100. in
+  List.iter
+    (fun (prefix, fib) ->
+      let origin = Bgp.Prefix.origin prefix in
+      let routable =
+        List.exists
+          (fun v ->
+            v <> origin
+            && Netcore.Fib_history.lookup fib ~node:v ~time:late <> None)
+          (Topo.Graph.nodes clique)
+      in
+      if Bgp.Prefix.equal prefix o.victim then
+        Alcotest.(check bool) "victim unroutable" false routable
+      else Alcotest.(check bool) "bystander intact" true routable)
+    o.prefixes
+
+let test_victim_convergence_positive () =
+  let o = run ~origins:[ 0; 3 ] ~victim:0 () in
+  Alcotest.(check bool) "victim messages flowed" true (o.victim_messages > 0);
+  Alcotest.(check bool) "positive convergence" true
+    (Bgp.Mesh_sim.convergence_time o > 0.);
+  Alcotest.(check int) "quiet background" 0 o.background_messages
+
+let test_churn_generates_background_traffic () =
+  let churn = { Bgp.Mesh_sim.period = 20.; cycles = 3; flappers = [ 1 ] } in
+  let o = run ~churn ~origins:[ 0; 1 ] ~victim:0 () in
+  Alcotest.(check bool) "background messages" true (o.background_messages > 0);
+  Alcotest.(check bool) "still converges" true o.converged
+
+let test_deterministic () =
+  let a = run ~origins:[ 0; 2; 4 ] ~victim:0 () in
+  let b = run ~origins:[ 0; 2; 4 ] ~victim:0 () in
+  Alcotest.(check (float 0.)) "conv" (Bgp.Mesh_sim.convergence_time a)
+    (Bgp.Mesh_sim.convergence_time b);
+  Alcotest.(check int) "victim msgs" a.victim_messages b.victim_messages
+
+let test_matches_single_prefix_sim () =
+  (* with a single origin the mesh reproduces the single-prefix
+     simulation exactly (same seed, same draws, same schedule) *)
+  let graph = Topo.Generators.clique 5 in
+  let single =
+    Bgp.Routing_sim.run ~graph ~origin:0 ~event:Bgp.Routing_sim.Tdown ~seed:3 ()
+  in
+  let mesh = Bgp.Mesh_sim.run ~graph ~origins:[ 0 ] ~victim:0 ~seed:3 () in
+  Alcotest.(check (float 1e-9)) "same convergence"
+    (Bgp.Routing_sim.convergence_time single)
+    (Bgp.Mesh_sim.convergence_time mesh)
+
+let raises f =
+  try
+    ignore (f ());
+    false
+  with Invalid_argument _ -> true
+
+let test_churn_validation () =
+  let raises churn = raises (fun () -> run ~churn ~origins:[ 0; 1 ] ~victim:0 ()) in
+  Alcotest.(check bool) "victim cannot flap" true
+    (raises { Bgp.Mesh_sim.period = 10.; cycles = 1; flappers = [ 0 ] });
+  Alcotest.(check bool) "bad period" true
+    (raises { Bgp.Mesh_sim.period = 0.; cycles = 1; flappers = [ 1 ] });
+  Alcotest.(check bool) "bad flapper index" true
+    (raises { Bgp.Mesh_sim.period = 10.; cycles = 1; flappers = [ 9 ] })
+
+let test_origin_validation () =
+  Alcotest.(check bool) "empty origins" true
+    (raises (fun () -> run ~origins:[] ~victim:0 ()));
+  Alcotest.(check bool) "duplicate origins" true
+    (raises (fun () -> run ~origins:[ 0; 0 ] ~victim:0 ()));
+  Alcotest.(check bool) "origin out of range" true
+    (raises (fun () -> run ~origins:[ 0; 6 ] ~victim:0 ()));
+  Alcotest.(check bool) "victim out of range" true
+    (raises (fun () -> run ~origins:[ 0; 1 ] ~victim:5 ()))
+
+(* --- budgets: one drain loop, one classification --- *)
+
+let terminations_agree ?max_events ?max_vtime ~watchdog name ~expect =
+  let graph = Topo.Generators.clique 6 in
+  let rs =
+    Bgp.Routing_sim.run ?max_events ?max_vtime ?watchdog:(watchdog ()) ~graph
+      ~origin:2 ~event:Tdown ~seed:4 ()
+  in
+  let ms =
+    Bgp.Mesh_sim.run ?max_events ?max_vtime ?watchdog:(watchdog ()) ~graph
+      ~origins:[ 2 ] ~victim:0 ~seed:4 ()
+  in
+  let tname = Bgp.Network.termination_name in
+  Alcotest.(check string) (name ^ ": routing") (tname expect)
+    (tname rs.termination);
+  Alcotest.(check string) (name ^ ": mesh") (tname expect)
+    (tname ms.termination);
+  Alcotest.(check bool) (name ^ ": converged flags agree") rs.converged
+    ms.converged;
+  Alcotest.(check bool)
+    (name ^ ": converged iff drained")
+    (expect = Bgp.Network.Drained)
+    ms.converged;
+  Alcotest.(check int) (name ^ ": events") rs.events_executed ms.events_executed;
+  rs
+
+let test_terminations_agree () =
+  let none () = None in
+  let full = terminations_agree ~watchdog:none "drained" ~expect:Drained in
+  ignore
+    (terminations_agree ~watchdog:none ~max_events:(full.events_executed / 2)
+       "event budget" ~expect:Event_budget);
+  (* the injection runs, the withdrawal wave does not finish *)
+  ignore
+    (terminations_agree ~watchdog:none ~max_vtime:(full.t_fail +. 0.5)
+       "vtime budget" ~expect:Vtime_budget);
+  ignore
+    (terminations_agree
+       ~watchdog:(fun () -> Some (Faults.Watchdog.create ~max_wall_s:0. ()))
+       "wall budget at start" ~expect:Wall_budget)
+
+let test_mesh_wall_budget () =
+  (* a fake clock that jumps past the budget once the warm-up produced
+     FIB changes: the post-failure phase is cut, structurally *)
+  let fib_changes = ref 0 in
+  let sink =
+    Obs.Sink.fn (fun ev ->
+        match ev with Obs.Event.Fib_change _ -> incr fib_changes | _ -> ())
+  in
+  let clock () = if !fib_changes > 0 then 1e9 else 0. in
+  let watchdog = Faults.Watchdog.create ~clock ~max_wall_s:1. () in
+  let o =
+    Bgp.Mesh_sim.run ~obs:(Obs.Bus.create ~sink ()) ~watchdog
+      ~graph:(Topo.Generators.clique 5) ~victim:0 ~seed:1 ()
+  in
+  Alcotest.(check bool) "warm-up produced FIB changes" true (!fib_changes > 0);
+  Alcotest.(check string) "wall budget" "wall-budget"
+    (Bgp.Network.termination_name o.termination);
+  Alcotest.(check bool) "not converged" false o.converged;
+  Alcotest.(check int) "no victim messages" 0 o.victim_messages
 
 let mesh_trace ~graph ~victim ~seed =
   let sink, contents = Obs.Sink.memory () in
@@ -277,12 +365,28 @@ let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "mesh"
     [
+      ( "behaviour",
+        [
+          tc "all prefixes converge" test_all_prefixes_converge;
+          tc "T_down only hits the victim" test_victim_tdown_only_hits_victim;
+          tc "victim accounting" test_victim_convergence_positive;
+          tc "churn generates background traffic"
+            test_churn_generates_background_traffic;
+          tc "matches the single-prefix sim" test_matches_single_prefix_sim;
+          tc "deterministic" test_deterministic;
+        ] );
+      ( "validation",
+        [
+          tc "churn validation" test_churn_validation;
+          tc "origin validation" test_origin_validation;
+        ] );
+      ( "terminations",
+        [
+          tc "routing and mesh classify alike" test_terminations_agree;
+          tc "mesh wall budget" test_mesh_wall_budget;
+        ] );
       ( "differential",
         [
-          tc "mesh(1 prefix) = multi on golden graphs"
-            test_differential_golden_graphs;
-          tc "mesh(1 prefix) = multi on 20 internet graphs"
-            test_differential_internet_sweep;
           tc "run twice, identical trace" test_run_twice_deterministic;
           tc "every per-prefix event tagged in range"
             test_mesh_trace_prefix_tagged;
