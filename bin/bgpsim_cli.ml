@@ -658,10 +658,27 @@ let golden_cmd =
 
 (* --- sweep --- *)
 
+(* Prints a preset's table, then fails the command (exit 1) when any
+   point did not converge, so a CI step needs no output parsing.
+   [points] are (label, converged, row). *)
+let print_preset ~title ~header points =
+  print_string
+    (Bgpsim.Report.table ~title ~header
+       ~rows:(List.map (fun (_, _, row) -> row) points));
+  match
+    List.filter_map
+      (fun (label, converged, _) -> if converged then None else Some label)
+      points
+  with
+  | [] -> ()
+  | bad ->
+      Printf.eprintf "sweep: non-converged point(s): %s\n"
+        (String.concat ", " bad);
+      exit 1
+
 (* The scale preset (EXPERIMENTS.md §"Scale sweep"): T_down and T_long
    on internet-like graphs at the Premore sizes plus 300 nodes, timing
-   the routing simulation alone.  Mirrors the bench's `scale` group so
-   the same workload is reachable without building the bench. *)
+   the routing simulation alone. *)
 let scale_preset_sizes = [ 29; 48; 75; 110; 300 ]
 
 let run_scale_preset ~sizes ~preflight ~enhancement ~mrai ~seeds:seedl =
@@ -716,40 +733,41 @@ let run_scale_preset ~sizes ~preflight ~enhancement ~mrai ~seeds:seedl =
                   Stdlib.max a o.paths_interned)
                 0 cells
             in
-            [
-              string_of_int n;
-              label;
-              string_of_int events;
-              Printf.sprintf "%.3f" wall;
-              (if wall > 0. then
-                 Printf.sprintf "%.0f" (float_of_int events /. wall)
-               else "-");
-              Bgpsim.Report.float_cell conv;
-              (if converged then "yes" else "NO");
-              Printf.sprintf "%.1f" (float_of_int heap /. 1e6);
-              string_of_int paths;
-            ])
+            ( Printf.sprintf "%d/%s" n label,
+              converged,
+              [
+                string_of_int n;
+                label;
+                string_of_int events;
+                Printf.sprintf "%.3f" wall;
+                (if wall > 0. then
+                   Printf.sprintf "%.0f" (float_of_int events /. wall)
+                 else "-");
+                Bgpsim.Report.float_cell conv;
+                (if converged then "yes" else "NO");
+                Printf.sprintf "%.1f" (float_of_int heap /. 1e6);
+                string_of_int paths;
+              ] ))
           [ ("tdown", Bgpsim.Experiment.Tdown); ("tlong", Bgpsim.Experiment.Tlong) ])
       sizes
   in
-  print_string
-    (Bgpsim.Report.table
-       ~title:
-         (Printf.sprintf
-            "scale preset: T_down/T_long on internet graphs (%d seed(s))"
-            (List.length seedl))
-       ~header:
-         [
-           "n"; "event"; "events"; "wall(s)"; "ev/s"; "conv(s)"; "conv?";
-           "heap-Mw"; "paths";
-         ]
-       ~rows)
+  print_preset
+    ~title:
+      (Printf.sprintf
+         "scale preset: T_down/T_long on internet graphs (%d seed(s))"
+         (List.length seedl))
+    ~header:
+      [
+        "n"; "event"; "events"; "wall(s)"; "ev/s"; "conv(s)"; "conv?";
+        "heap-Mw"; "paths";
+      ]
+    rows
 
 (* The mesh preset (EXPERIMENTS.md §"Full-mesh recipe"): full-mesh
    multi-prefix workloads on internet-like graphs — every node
    originates its own prefix and the min-degree stub's prefix is
    withdrawn after warm-up.  CI's mesh-smoke step runs this at small
-   sizes; the bench `mesh` group records the internet-110 point. *)
+   sizes; the bench `mesh` group runs the internet-110 point. *)
 let mesh_preset_sizes = [ 10; 20; 29; 48 ]
 
 let run_mesh_preset ~sizes ~preflight ~enhancement ~mrai ~seeds:seedl =
@@ -830,35 +848,36 @@ let run_mesh_preset ~sizes ~preflight ~enhancement ~mrai ~seeds:seedl =
               List.length o.prefixes
           | [] -> 0
         in
-        [
-          string_of_int n;
-          string_of_int prefixes;
-          string_of_int events;
-          Printf.sprintf "%.3f" wall;
-          (if wall > 0. then
-             Printf.sprintf "%.0f" (float_of_int events /. wall)
-           else "-");
-          Bgpsim.Report.float_cell conv;
-          (if converged then "yes" else "NO");
-          string_of_int loops;
-          Printf.sprintf "%.1f" loop_s;
-          Printf.sprintf "%.1f" (float_of_int heap /. 1e6);
-          string_of_int paths;
-        ])
+        ( string_of_int n,
+          converged,
+          [
+            string_of_int n;
+            string_of_int prefixes;
+            string_of_int events;
+            Printf.sprintf "%.3f" wall;
+            (if wall > 0. then
+               Printf.sprintf "%.0f" (float_of_int events /. wall)
+             else "-");
+            Bgpsim.Report.float_cell conv;
+            (if converged then "yes" else "NO");
+            string_of_int loops;
+            Printf.sprintf "%.1f" loop_s;
+            Printf.sprintf "%.1f" (float_of_int heap /. 1e6);
+            string_of_int paths;
+          ] ))
       sizes
   in
-  print_string
-    (Bgpsim.Report.table
-       ~title:
-         (Printf.sprintf
-            "mesh preset: full-mesh T_down on internet graphs (%d seed(s))"
-            (List.length seedl))
-       ~header:
-         [
-           "n"; "prefixes"; "events"; "wall(s)"; "ev/s"; "conv(s)"; "conv?";
-           "loops"; "loop-s"; "heap-Mw"; "paths";
-         ]
-       ~rows)
+  print_preset
+    ~title:
+      (Printf.sprintf
+         "mesh preset: full-mesh T_down on internet graphs (%d seed(s))"
+         (List.length seedl))
+    ~header:
+      [
+        "n"; "prefixes"; "events"; "wall(s)"; "ev/s"; "conv(s)"; "conv?";
+        "loops"; "loop-s"; "heap-Mw"; "paths";
+      ]
+    rows
 
 let sweep_cmd =
   let axis_arg =
@@ -887,7 +906,9 @@ let sweep_cmd =
              (every node originates its own prefix) at sizes 10,20,29,48 \
              (override with $(b,--values)), additionally reporting loop \
              counts and loop-seconds summed over all prefixes.  Preset runs \
-             are sequential, so $(b,--jobs) is ignored.")
+             are sequential and pick their own events: $(b,--jobs) above 1 \
+             and an $(b,--event) other than tdown are rejected (exit 2).  \
+             The command exits 1 when any point did not converge.")
   in
   let family_arg =
     Arg.(
@@ -908,6 +929,16 @@ let sweep_cmd =
   in
   let action family axis values size event preflight enhancement mrai seed
       seeds jobs preset =
+    if Option.is_some preset then begin
+      let usage msg =
+        prerr_endline ("sweep: " ^ msg);
+        exit 2
+      in
+      if jobs > 1 then usage "--preset cannot be combined with --jobs > 1";
+      match event with
+      | Bgpsim.Experiment.Tdown -> ()
+      | _ -> usage "--preset picks its own events: --event must be tdown"
+    end;
     match preset with
     | Some `Scale ->
         let sizes =
@@ -1379,11 +1410,15 @@ let figures_cmd =
   in
   let seeds_arg =
     Arg.(
-      value & opt int 3
-      & info [ "seeds" ] ~docv:"N" ~doc:"Seeds averaged per data point.")
+      value
+      & opt (some int) None
+      & info [ "seeds" ] ~docv:"N"
+          ~doc:
+            "Seeds averaged per data point: seeds 1..N for every series.  \
+             Without it each series uses its own seeds from the figure \
+             catalogue (Bgpsim.Figures).")
   in
   let action dir seeds jobs =
-    let seeds = seed_list ~seed:1 ~seeds in
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
     let write name text =
       let path = Filename.concat dir name in
@@ -1392,96 +1427,24 @@ let figures_cmd =
       close_out oc;
       Printf.printf "wrote %s\n%!" path
     in
-    (* one pool shared by every figure's sweep *)
+    (* one pool shared by every figure's sweep; Figures 4 & 6 share
+       runs, as do 5 & 7, and each CSV carries every metric column, so
+       one file serves both views of a figure pair *)
     Bgpsim.Parallel.with_pool ~jobs @@ fun pool ->
-    let series ~x_label ~make xs name =
-      let data = Bgpsim.Sweep.series ~pool ~make ~seeds xs in
-      write name (Metrics.Export.series_csv ~x_label data)
-    in
-    let sizes = List.map float_of_int in
-    (* Figures 4 & 6 share runs; so do 5 & 7 — the CSVs carry all the
-       metric columns, so one file serves both views of each figure. *)
-    series ~x_label:"size"
-      ~make:(fun n ->
-        Bgpsim.Experiment.default_spec (Bgpsim.Experiment.Clique (int_of_float n)))
-      (sizes [ 5; 10; 15; 20; 25; 30 ])
-      "fig4a_fig6a_clique_tdown_vs_size.csv";
-    series ~x_label:"n"
-      ~make:(fun n ->
-        {
-          (Bgpsim.Experiment.default_spec
-             (Bgpsim.Experiment.B_clique (int_of_float n)))
-          with
-          event = Bgpsim.Experiment.Tlong;
-        })
-      (sizes [ 5; 10; 15 ])
-      "fig4b_fig6b_bclique_tlong_vs_size.csv";
-    series ~x_label:"size"
-      ~make:(fun n ->
-        Bgpsim.Experiment.default_spec (Bgpsim.Experiment.Internet (int_of_float n)))
-      (sizes [ 29; 48; 75; 110 ])
-      "fig4c_fig6c_internet_tdown_vs_size.csv";
-    series ~x_label:"mrai"
-      ~make:(fun mrai ->
-        { (Bgpsim.Experiment.default_spec (Bgpsim.Experiment.Clique 15)) with mrai })
-      [ 10.; 20.; 30.; 40.; 50.; 60. ]
-      "fig5a_fig7a_clique15_tdown_vs_mrai.csv";
-    series ~x_label:"mrai"
-      ~make:(fun mrai ->
-        {
-          (Bgpsim.Experiment.default_spec (Bgpsim.Experiment.B_clique 10)) with
-          event = Bgpsim.Experiment.Tlong;
-          mrai;
-        })
-      [ 10.; 20.; 30.; 40.; 50.; 60. ]
-      "fig5b_fig7b_bclique10_tlong_vs_mrai.csv";
-    (* Figures 8 & 9: one CSV per enhancement and scenario family *)
     List.iter
-      (fun enh ->
-        let tag = Bgp.Enhancement.name enh in
-        series ~x_label:"size"
-          ~make:(fun n ->
-            {
-              (Bgpsim.Experiment.default_spec
-                 (Bgpsim.Experiment.Clique (int_of_float n)))
-              with
-              enhancement = enh;
-            })
-          (sizes [ 5; 10; 15; 20; 25; 30 ])
-          (Printf.sprintf "fig8ab_clique_tdown_%s.csv" tag);
-        series ~x_label:"size"
-          ~make:(fun n ->
-            {
-              (Bgpsim.Experiment.default_spec
-                 (Bgpsim.Experiment.Internet (int_of_float n)))
-              with
-              enhancement = enh;
-            })
-          (sizes [ 29; 48; 75; 110 ])
-          (Printf.sprintf "fig8cd_internet_tdown_%s.csv" tag);
-        series ~x_label:"n"
-          ~make:(fun n ->
-            {
-              (Bgpsim.Experiment.default_spec
-                 (Bgpsim.Experiment.B_clique (int_of_float n)))
-              with
-              event = Bgpsim.Experiment.Tlong;
-              enhancement = enh;
-            })
-          (sizes [ 5; 10; 15 ])
-          (Printf.sprintf "fig9ab_bclique_tlong_%s.csv" tag);
-        series ~x_label:"size"
-          ~make:(fun n ->
-            {
-              (Bgpsim.Experiment.default_spec
-                 (Bgpsim.Experiment.Internet (int_of_float n)))
-              with
-              event = Bgpsim.Experiment.Tlong;
-              enhancement = enh;
-            })
-          (sizes [ 29; 48; 75; 110 ])
-          (Printf.sprintf "fig9cd_internet_tlong_%s.csv" tag))
-      Bgp.Enhancement.all
+      (fun (s : Bgpsim.Figures.series) ->
+        let seeds =
+          match seeds with
+          | Some n -> seed_list ~seed:1 ~seeds:n
+          | None -> s.seeds
+        in
+        List.iter
+          (fun (_, stem, make) ->
+            let data = Bgpsim.Sweep.series ~pool ~make ~seeds s.xs in
+            write (stem ^ ".csv")
+              (Metrics.Export.series_csv ~x_label:s.x_label data))
+          (Bgpsim.Figures.runs s))
+      Bgpsim.Figures.all
   in
   let term = Term.(const action $ dir_arg $ seeds_arg $ jobs_arg) in
   Cmd.v

@@ -30,7 +30,7 @@ let compare_on ~title ~spec ~seeds =
   print_newline ()
 
 let () =
-  let seeds = [ 1; 2; 3 ] in
+  let seeds = Bgpsim.Figures.seeds in
   compare_on ~title:"T_down on clique-12 (paper Fig 8a/8b)"
     ~spec:(Bgpsim.Experiment.default_spec (Bgpsim.Experiment.Clique 12))
     ~seeds;

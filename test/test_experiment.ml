@@ -334,6 +334,52 @@ let test_cells () =
   Alcotest.(check string) "float" "3.14" (Report.float_cell 3.14159);
   Alcotest.(check string) "ratio" "86.0%" (Report.ratio_cell 0.86)
 
+(* --- the paper's figure catalogue --- *)
+
+let csv_stems () =
+  List.concat_map
+    (fun s -> List.map (fun (_, stem, _) -> stem) (Figures.runs s))
+    Figures.all
+
+let test_figures_stems_unique () =
+  let stems = csv_stems () in
+  Alcotest.(check int) "one CSV per Fig 4-7 series, five per Fig 8-9 series"
+    25 (List.length stems);
+  Alcotest.(check int) "unique" (List.length stems)
+    (List.length (List.sort_uniq compare stems))
+
+let test_figures_specs_resolve () =
+  List.iter
+    (fun (s : Figures.series) ->
+      List.iter
+        (fun (_, stem, make) ->
+          List.iter
+            (fun x ->
+              List.iter
+                (fun seed ->
+                  match Experiment.resolve { (make x) with seed } with
+                  | (_ : Topo.Graph.t * int * Bgp.Routing_sim.event) -> ()
+                  | exception Invalid_argument msg ->
+                      Alcotest.failf "%s at x=%g seed %d: %s" stem x seed msg)
+                s.seeds)
+            s.xs)
+        (Figures.runs s))
+    Figures.all
+
+let test_figures_seeds () =
+  List.iter
+    (fun (s : Figures.series) ->
+      let spec = s.make (List.hd s.xs) in
+      let internet_tlong =
+        match (spec.topology, spec.event) with
+        | Experiment.Internet _, Experiment.Tlong -> true
+        | _ -> false
+      in
+      Alcotest.(check (list int)) s.stem
+        (if internet_tlong then [ 1; 2; 3; 4; 5; 6 ] else [ 1; 2; 3 ])
+        s.seeds)
+    Figures.all
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "experiment"
@@ -387,5 +433,11 @@ let () =
           tc "pads short rows" test_table_pads_short_rows;
           tc "rejects wide rows" test_table_rejects_wide_rows;
           tc "cells" test_cells;
+        ] );
+      ( "figures",
+        [
+          tc "CSV stems unique" test_figures_stems_unique;
+          tc "specs resolve" test_figures_specs_resolve;
+          tc "seeds per series" test_figures_seeds;
         ] );
     ]
