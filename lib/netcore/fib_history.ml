@@ -45,28 +45,36 @@ let record t ~time ~node ~next_hop =
     match t.on_change with None -> () | Some f -> f change
   end
 
-(* Largest index whose change time satisfies [le_pred]; -1 if none. *)
-let search vec pred =
-  let n = Dessim.Vec.length vec in
-  let lo = ref (-1) and hi = ref (n - 1) in
-  (* invariant: changes at indices <= !lo satisfy pred; > !hi do not *)
+(* Largest index whose change time is [<= time] ([search_le]) or
+   [< time] ([search_lt]); -1 if none.  Two loops rather than one taking
+   a predicate, so a lookup allocates no closure.  Invariant: changes at
+   indices <= !lo satisfy the test; those > !hi do not. *)
+let search_le vec (time : float) =
+  let lo = ref (-1) and hi = ref (Dessim.Vec.length vec - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi + 1) / 2 in
-    let time, _ = Dessim.Vec.get vec mid in
-    if pred time then lo := mid else hi := mid - 1
+    if fst (Dessim.Vec.get vec mid) <= time then lo := mid else hi := mid - 1
+  done;
+  !lo
+
+let search_lt vec (time : float) =
+  let lo = ref (-1) and hi = ref (Dessim.Vec.length vec - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if fst (Dessim.Vec.get vec mid) < time then lo := mid else hi := mid - 1
   done;
   !lo
 
 let lookup t ~node ~time =
   check_node t node;
   let vec = t.per_node.(node) in
-  let idx = search vec (fun change_time -> change_time <= time) in
+  let idx = search_le vec time in
   if idx < 0 then None else snd (Dessim.Vec.get vec idx)
 
 let snapshot t ~before =
   Array.init t.n (fun node ->
       let vec = t.per_node.(node) in
-      let idx = search vec (fun change_time -> change_time < before) in
+      let idx = search_lt vec before in
       if idx < 0 then None else snd (Dessim.Vec.get vec idx))
 
 let changes_from t ~from =

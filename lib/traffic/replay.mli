@@ -52,5 +52,8 @@ val run :
     of the looping ratio: experiment drivers extend the send window a
     little past convergence to catch loops that outlive the last sent
     message, while counting only packets sent during convergence.
-    @raise Invalid_argument on a non-positive [rate], [t1 < t0], or a
-    source equal to [origin] / out of range. *)
+    Packets walk on {!Walker}: the result is bit for bit what one
+    {!Forwarder.walk} per packet and a sort would give.
+    @raise Invalid_argument on a non-positive [rate], [ttl] or
+    [link_delay], [t1 < t0], or a source equal to [origin] / out of
+    range — on entry, whether or not any packet would be sent. *)
