@@ -681,7 +681,7 @@ let print_preset ~title ~header points =
    the routing simulation alone. *)
 let scale_preset_sizes = [ 29; 48; 75; 110; 300 ]
 
-let run_scale_preset ~sizes ~preflight ~enhancement ~mrai ~seeds:seedl =
+let run_scale_preset ~sizes ~enhancement ~mrai ~seeds:seedl =
   let cell (spec : Bgpsim.Experiment.spec) =
     let graph, origin, event = Bgpsim.Experiment.resolve spec in
     let config = Bgp.Config.of_enhancement ~mrai:spec.mrai spec.enhancement in
@@ -702,7 +702,7 @@ let run_scale_preset ~sizes ~preflight ~enhancement ~mrai ~seeds:seedl =
               List.map
                 (fun seed ->
                   cell
-                    (spec_of ~preflight ~max_events:5_000_000
+                    (spec_of ~max_events:5_000_000
                        (Bgpsim.Experiment.Internet n) ev enhancement mrai seed))
                 seedl
             in
@@ -883,8 +883,9 @@ let sweep_cmd =
   let axis_arg =
     Arg.(
       value
-      & opt (enum [ ("size", `Size); ("mrai", `Mrai) ]) `Size
-      & info [ "axis" ] ~docv:"AXIS" ~doc:"Sweep axis: size or mrai.")
+      & opt (some (enum [ ("size", `Size); ("mrai", `Mrai) ])) None
+      & info [ "axis" ] ~docv:"AXIS"
+          ~doc:"Sweep axis: size (the default) or mrai.")
   in
   let values_arg =
     Arg.(
@@ -906,26 +907,34 @@ let sweep_cmd =
              (every node originates its own prefix) at sizes 10,20,29,48 \
              (override with $(b,--values)), additionally reporting loop \
              counts and loop-seconds summed over all prefixes.  Preset runs \
-             are sequential and pick their own events: $(b,--jobs) above 1 \
-             and an $(b,--event) other than tdown are rejected (exit 2).  \
-             The command exits 1 when any point did not converge.")
+             are sequential and pick their own topologies and events: \
+             $(b,--jobs) above 1, $(b,--topology), $(b,--axis), $(b,--size), \
+             an $(b,--event) other than tdown and, for $(b,scale), a \
+             $(b,--preflight) other than off are rejected (exit 2).  The \
+             command exits 1 when any point did not converge.")
   in
   let family_arg =
     Arg.(
       value
       & opt
-          (enum
-             [
-               ("clique", `Clique); ("b-clique", `B_clique); ("internet", `Internet);
-             ])
-          `Clique
+          (some
+             (enum
+                [
+                  ("clique", `Clique); ("b-clique", `B_clique);
+                  ("internet", `Internet);
+                ]))
+          None
       & info [ "t"; "topology" ] ~docv:"FAMILY"
-          ~doc:"Topology family for the sweep: clique, b-clique or internet.")
+          ~doc:
+            "Topology family for the sweep: clique (the default), b-clique \
+             or internet.")
   in
   let size_arg =
     Arg.(
-      value & opt int 10
-      & info [ "size" ] ~docv:"N" ~doc:"Fixed size when sweeping the MRAI.")
+      value
+      & opt (some int) None
+      & info [ "size" ] ~docv:"N"
+          ~doc:"Fixed size when sweeping the MRAI (default 10).")
   in
   let action family axis values size event preflight enhancement mrai seed
       seeds jobs preset =
@@ -935,6 +944,10 @@ let sweep_cmd =
         exit 2
       in
       if jobs > 1 then usage "--preset cannot be combined with --jobs > 1";
+      if family <> None || axis <> None || size <> None then
+        usage "--preset picks its own topologies: drop --topology, --axis and --size";
+      if preset = Some `Scale && preflight <> Analysis.Preflight.Off then
+        usage "--preset scale runs no pre-flight: --preflight must be off";
       match event with
       | Bgpsim.Experiment.Tdown -> ()
       | _ -> usage "--preset picks its own events: --event must be tdown"
@@ -946,7 +959,7 @@ let sweep_cmd =
           | Some vs -> List.map int_of_float vs
           | None -> scale_preset_sizes
         in
-        run_scale_preset ~sizes ~preflight ~enhancement ~mrai
+        run_scale_preset ~sizes ~enhancement ~mrai
           ~seeds:(seed_list ~seed ~seeds)
     | Some `Mesh ->
         let sizes =
@@ -964,6 +977,9 @@ let sweep_cmd =
           prerr_endline "sweep: --values is required unless --preset is given";
           exit 2
     in
+    let family = Option.value family ~default:`Clique
+    and axis = Option.value axis ~default:`Size
+    and size = Option.value size ~default:10 in
     let topology n =
       match family with
       | `Clique -> Bgpsim.Experiment.Clique n

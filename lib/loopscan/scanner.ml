@@ -1,4 +1,4 @@
-type loop = {
+type loop = Stream.loop = {
   members : int list;
   birth : float;
   death : float option;
@@ -18,156 +18,25 @@ let pp_loop fmt l =
     | Some d -> Printf.sprintf " died %g" d
     | None -> " (alive)")
 
-type report = {
+type report = Stream.report = {
   loops : loop list;
   first_loop_birth : float option;
   last_loop_death : float option;
   max_concurrent : int;
 }
 
-(* Rotate a cycle so it starts at its smallest member; forwarding order
-   is preserved. *)
-let canonicalize cycle =
-  let arr = Array.of_list cycle in
-  let n = Array.length arr in
-  let start = ref 0 in
-  for i = 1 to n - 1 do
-    if arr.(i) < arr.(!start) then start := i
-  done;
-  List.init n (fun i -> arr.((!start + i) mod n))
-
-(* A live loop under construction. *)
-type live = { l_members : int list; l_birth : float; l_trigger : int }
-
-type state = {
-  next_hop : int option array;
-  (* node -> the live loop it belongs to, if any *)
-  member_of : live option array;
-  mutable alive : int;
-  mutable max_alive : int;
-  finished : loop Dessim.Vec.t;
-}
-
-let kill st ~time live =
-  List.iter (fun v -> st.member_of.(v) <- None) live.l_members;
-  st.alive <- st.alive - 1;
-  Dessim.Vec.push st.finished
-    {
-      members = live.l_members;
-      birth = live.l_birth;
-      death = Some time;
-      trigger = live.l_trigger;
-    }
-
-let register st ~time ~trigger cycle =
-  let live =
-    { l_members = canonicalize cycle; l_birth = time; l_trigger = trigger }
+let scan ?obs ?prefix ~fib ~origin ~from () =
+  let stream =
+    Stream.create ~record:true ~origin
+      ~initial:(Netcore.Fib_history.snapshot fib ~before:from)
+      ()
   in
-  List.iter (fun v -> st.member_of.(v) <- Some live) live.l_members;
-  st.alive <- st.alive + 1;
-  if st.alive > st.max_alive then st.max_alive <- st.alive;
-  live
-
-(* Chase the next-hop chain from [v]; if it returns to [v], the nodes
-   visited so far form a new cycle through [v].  The chain can otherwise
-   end at the origin, at a routeless node, or merge into an existing
-   loop (or a tail leading to one) — none of which creates a new loop.
-   The walk is bounded by n hops since cycles are disjoint and every
-   revisit is caught. *)
-let find_new_cycle st ~origin v =
-  let n = Array.length st.next_hop in
-  let rec chase node acc steps =
-    if steps > n then
-      (* impossible: some node would have repeated, caught below *)
-      assert false
-    else if node = origin then None
-    else if st.member_of.(node) <> None then None
-    else
-      match st.next_hop.(node) with
-      | None -> None
-      | Some next ->
-          if next = v then Some (List.rev (node :: acc))
-          else if List.mem next acc || next = node then
-            (* A cycle not through [v] would have to predate this
-               change, hence be registered already — caught above. *)
-            assert false
-          else chase next (node :: acc) (steps + 1)
-  in
-  if st.member_of.(v) <> None then None else chase v [] 0
-
-let scan ?(obs = Obs.Bus.off) ?prefix ~fib ~origin ~from () =
-  let n = Netcore.Fib_history.n_nodes fib in
-  let st =
-    {
-      next_hop = Netcore.Fib_history.snapshot fib ~before:from;
-      member_of = Array.make n None;
-      alive = 0;
-      max_alive = 0;
-      finished = Dessim.Vec.create ();
-    }
-  in
-  (* The starting state must be loop-free (converged warm-up). *)
-  for v = 0 to n - 1 do
-    match find_new_cycle st ~origin v with
-    | None -> ()
-    | Some _ -> invalid_arg "Scanner.scan: starting state contains a loop"
-  done;
-  let apply (change : Netcore.Fib_history.change) =
-    let v = change.node in
-    (match st.member_of.(v) with
-    | Some live ->
-        Obs.Bus.loop_resolved ?prefix obs ~time:change.time
-          ~members:live.l_members;
-        kill st ~time:change.time live
-    | None -> ());
-    st.next_hop.(v) <- change.next_hop;
-    match find_new_cycle st ~origin v with
-    | None -> ()
-    | Some cycle ->
-        let live = register st ~time:change.time ~trigger:v cycle in
-        Obs.Bus.loop_detected ?prefix obs ~time:change.time
-          ~members:live.l_members ~trigger:v
-  in
-  List.iter apply (Netcore.Fib_history.changes_from fib ~from);
-  (* Surviving loops are reported with no death time. *)
-  let seen = Hashtbl.create 8 in
-  Array.iter
-    (fun live_opt ->
-      match live_opt with
-      | Some live when not (Hashtbl.mem seen live.l_members) ->
-          Hashtbl.add seen live.l_members ();
-          Dessim.Vec.push st.finished
-            {
-              members = live.l_members;
-              birth = live.l_birth;
-              death = None;
-              trigger = live.l_trigger;
-            }
-      | Some _ | None -> ())
-    st.member_of;
-  let loops =
-    List.sort
-      (fun a b -> compare (a.birth, a.members) (b.birth, b.members))
-      (Dessim.Vec.to_list st.finished)
-  in
-  let first_loop_birth =
-    match loops with [] -> None | l :: _ -> Some l.birth
-  in
-  let last_loop_death =
-    List.fold_left
-      (fun acc l ->
-        match (acc, l.death) with
-        | None, d -> d
-        | Some _, None -> acc
-        | Some best, Some d -> Some (Stdlib.max best d))
-      None loops
-  in
-  let last_loop_death =
-    (* a surviving loop means there is no meaningful "last death" *)
-    if List.exists (fun l -> l.death = None) loops then None
-    else last_loop_death
-  in
-  { loops; first_loop_birth; last_loop_death; max_concurrent = st.max_alive }
+  List.iter
+    (fun (c : Netcore.Fib_history.change) ->
+      Stream.observe ?obs ?prefix stream ~time:c.time ~node:c.node
+        ~next_hop:c.next_hop)
+    (Netcore.Fib_history.changes_from fib ~from);
+  Stream.report stream
 
 type aggregate = {
   count : int;

@@ -1,27 +1,18 @@
-(** Forwarding-loop tracking over a FIB history.
+(** Forwarding-loop tracking over a recorded FIB history.
 
-    The per-destination forwarding state is a functional graph (each
-    node has at most one next hop), so its cycles are node-disjoint and
-    each node belongs to at most one loop.  A FIB change at node [v]
-    can only kill the loop [v] is a member of (its outgoing edge
-    changed) and can only create a loop through [v] (any new cycle must
-    use [v]'s new edge) — so scanning the chronological change log and
-    chasing next-hop chains from changed nodes tracks every loop
-    exactly.
+    {!scan} folds {!Stream.observe} over the history's changes; the
+    loop and report types, and the algorithm behind them, are
+    {!Stream}'s.
 
     This implements the paper's stated next step ("measure the
     statistics of individual loops such as the loop size and
     duration"), which the published study only measured in aggregate. *)
 
-type loop = {
+type loop = Stream.loop = {
   members : int list;
-      (** the cycle in forwarding order, starting at its smallest
-          member *)
   birth : float;
-  death : float option;  (** [None] if alive at the end of the scan *)
+  death : float option;
   trigger : int;
-      (** the node whose next-hop change created the cycle (a cycle can
-          only form through the changed node's new edge) *)
 }
 
 val size : loop -> int
@@ -31,12 +22,11 @@ val duration : loop -> until:float -> float
 
 val pp_loop : Format.formatter -> loop -> unit
 
-type report = {
-  loops : loop list;  (** by birth time *)
+type report = Stream.report = {
+  loops : loop list;
   first_loop_birth : float option;
   last_loop_death : float option;
-      (** [None] when no loop formed or one survived the scan *)
-  max_concurrent : int;  (** most loops alive at once *)
+  max_concurrent : int;
 }
 
 val scan :
@@ -54,7 +44,7 @@ val scan :
     events, timestamped with the FIB-change virtual times and tagged
     with [prefix] when given.
     @raise Invalid_argument if the starting state already contains a
-    loop. *)
+    loop or [origin] is out of range. *)
 
 (** {2 Aggregates} *)
 

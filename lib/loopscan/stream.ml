@@ -1,25 +1,40 @@
-(* Streaming loop detection: the Scanner algorithm, fed one FIB change
-   at a time instead of replaying a recorded history.
+(* Loop tracking over a stream of FIB changes: the one implementation
+   of the algorithm.  [Scanner.scan] is a fold of [observe] over a
+   recorded history; churn and mesh runs feed it online.  The test
+   suite checks it against a brute-force cycle oracle
+   (test/loop_oracle.ml) that recomputes every cycle after every
+   change.
 
    The state is deliberately plain data (no closures, no Vec): churn
    checkpoints Marshal it directly.  The observability bus is passed
-   per [observe] call rather than stored, for the same reason.
+   per [observe] call rather than stored, for the same reason. *)
 
-   The algorithm is an independent mirror of [Scanner] (canonical
-   rotation, kill-then-rescan at the changed node), kept separate so
-   the differential suite compares two implementations rather than one
-   implementation with itself. *)
+type loop = {
+  members : int list;
+  birth : float;
+  death : float option;
+  trigger : int;
+}
 
+type report = {
+  loops : loop list;
+  first_loop_birth : float option;
+  last_loop_death : float option;
+  max_concurrent : int;
+}
+
+(* A live loop. *)
 type live = { l_members : int list; l_birth : float; l_trigger : int }
 
 type t = {
   origin : int;
   next_hop : int option array;
+  (* node -> the live loop it belongs to, if any *)
   member_of : live option array;
   mutable alive : int;
   mutable max_alive : int;
   record : bool;
-  mutable finished_rev : Scanner.loop list;  (* only when [record] *)
+  mutable finished_rev : loop list;  (* only when [record] *)
   (* bounded-memory aggregates, maintained in both modes *)
   mutable started : int;
   mutable resolved : int;
@@ -30,6 +45,8 @@ type t = {
   mutable last_loop_death : float option;
 }
 
+(* Rotate a cycle so it starts at its smallest member; forwarding order
+   is preserved. *)
 let canonicalize cycle =
   let arr = Array.of_list cycle in
   let n = Array.length arr in
@@ -39,6 +56,13 @@ let canonicalize cycle =
   done;
   List.init n (fun i -> arr.((!start + i) mod n))
 
+(* Chase the next-hop chain from [v]; if it returns to [v], the nodes
+   visited so far form a new cycle through [v].  The chain can otherwise
+   end at the origin, at a routeless node, or merge into an existing
+   loop (or a tail leading to one) — none of which creates a new loop.
+   Callers keep every cycle that avoids the origin registered, so any
+   cycle the chase meets runs through [v]; the walk is bounded by n
+   hops since every revisit is caught. *)
 let find_new_cycle t v =
   let n = Array.length t.next_hop in
   let rec chase node acc steps =
@@ -68,7 +92,7 @@ let kill t ~time live =
   if t.record then
     t.finished_rev <-
       {
-        Scanner.members = live.l_members;
+        members = live.l_members;
         birth = live.l_birth;
         death = Some time;
         trigger = live.l_trigger;
@@ -95,7 +119,7 @@ let create ?(record = false) ~origin ~initial () =
   let t =
     {
       origin;
-      next_hop = Array.copy initial;
+      next_hop = Array.make n None;
       member_of = Array.make n None;
       alive = 0;
       max_alive = 0;
@@ -110,13 +134,16 @@ let create ?(record = false) ~origin ~initial () =
       last_loop_death = None;
     }
   in
-  for v = 0 to n - 1 do
-    match find_new_cycle t v with
-    | None -> ()
-    | Some cycle ->
-        ignore (register t ~time:0. ~trigger:v cycle);
-        invalid_arg "Stream.create: starting state contains a loop"
-  done;
+  (* Install the starting edges one at a time: a cycle can only close
+     through the edge just added, which the chase from its node finds,
+     so a loop anywhere in [initial] (a tail into it included) is
+     caught at the edge that closes it. *)
+  Array.iteri
+    (fun v hop ->
+      t.next_hop.(v) <- hop;
+      if find_new_cycle t v <> None then
+        invalid_arg "Stream.create: starting state contains a loop")
+    initial;
   t
 
 let observe ?(obs = Obs.Bus.off) ?prefix t ~time ~node ~next_hop =
@@ -137,6 +164,19 @@ let live_loops t = t.alive
 let n_nodes t = Array.length t.next_hop
 let fib t node = t.next_hop.(node)
 
+(* The live loops, each once (at its smallest member), by that member. *)
+let survivors t =
+  let acc = ref [] in
+  for v = Array.length t.member_of - 1 downto 0 do
+    match t.member_of.(v) with
+    | Some live when List.hd live.l_members = v -> acc := live :: !acc
+    | Some _ | None -> ()
+  done;
+  !acc
+
+(* With a loop still alive there is no meaningful "last death". *)
+let last_death t = if t.alive > 0 then None else t.last_loop_death
+
 type totals = {
   loops_started : int;
   loops_resolved : int;
@@ -151,15 +191,11 @@ type totals = {
 }
 
 let totals t ~until =
-  let survivor_seconds = ref 0. in
-  let seen = Hashtbl.create 8 in
-  Array.iter
-    (function
-      | Some live when not (Hashtbl.mem seen live.l_members) ->
-          Hashtbl.add seen live.l_members ();
-          survivor_seconds := !survivor_seconds +. (until -. live.l_birth)
-      | Some _ | None -> ())
-    t.member_of;
+  let survivor_seconds =
+    List.fold_left
+      (fun acc live -> acc +. (until -. live.l_birth))
+      0. (survivors t)
+  in
   {
     loops_started = t.started;
     loops_resolved = t.resolved;
@@ -169,55 +205,35 @@ let totals t ~until =
     mean_size =
       (if t.started = 0 then 0.
        else float_of_int t.sum_size /. float_of_int t.started);
-    total_loop_seconds = t.finished_loop_seconds +. !survivor_seconds;
+    total_loop_seconds = t.finished_loop_seconds +. survivor_seconds;
     first_loop_birth = t.first_loop_birth;
-    last_loop_death = (if t.alive > 0 then None else t.last_loop_death);
+    last_loop_death = last_death t;
   }
 
-let report t =
+let report t : report =
   if not t.record then
     invalid_arg "Stream.report: scanner was created without ~record:true";
-  let finished = ref t.finished_rev in
-  let seen = Hashtbl.create 8 in
-  Array.iter
-    (function
-      | Some live when not (Hashtbl.mem seen live.l_members) ->
-          Hashtbl.add seen live.l_members ();
-          finished :=
-            {
-              Scanner.members = live.l_members;
-              birth = live.l_birth;
-              death = None;
-              trigger = live.l_trigger;
-            }
-            :: !finished
-      | Some _ | None -> ())
-    t.member_of;
+  let alive =
+    List.map
+      (fun live ->
+        {
+          members = live.l_members;
+          birth = live.l_birth;
+          death = None;
+          trigger = live.l_trigger;
+        })
+      (survivors t)
+  in
+  (* finished loops in kill order, then survivors; the stable sort
+     keeps that order among equal (birth, members) *)
   let loops =
-    List.sort
-      (fun (a : Scanner.loop) (b : Scanner.loop) ->
-        compare (a.birth, a.members) (b.birth, b.members))
-      !finished
-  in
-  let first_loop_birth =
-    match loops with [] -> None | (l : Scanner.loop) :: _ -> Some l.birth
-  in
-  let last_loop_death =
-    List.fold_left
-      (fun acc (l : Scanner.loop) ->
-        match (acc, l.death) with
-        | None, d -> d
-        | Some _, None -> acc
-        | Some best, Some d -> Some (Stdlib.max best d))
-      None loops
-  in
-  let last_loop_death =
-    if List.exists (fun (l : Scanner.loop) -> l.death = None) loops then None
-    else last_loop_death
+    List.stable_sort
+      (fun a b -> compare (a.birth, a.members) (b.birth, b.members))
+      (List.rev_append t.finished_rev alive)
   in
   {
-    Scanner.loops;
-    first_loop_birth;
-    last_loop_death;
+    loops;
+    first_loop_birth = t.first_loop_birth;
+    last_loop_death = last_death t;
     max_concurrent = t.max_alive;
   }

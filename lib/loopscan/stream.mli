@@ -1,9 +1,19 @@
-(** Streaming (online) loop detection.
+(** Loop tracking over a stream of FIB changes.
 
-    Same functional-graph invariant as {!Scanner} — a FIB change at
-    node [v] can only kill [v]'s loop and only create a loop through
-    [v] — but fed one change at a time, so long churn runs track loops
-    without retaining a FIB history.
+    The per-destination forwarding state is a functional graph (each
+    node has at most one next hop), so its cycles are node-disjoint and
+    each node belongs to at most one loop.  A FIB change at node [v]
+    can only kill the loop [v] is a member of (its outgoing edge
+    changed) and can only create a loop through [v] (any new cycle must
+    use [v]'s new edge) — so chasing the next-hop chain from each
+    changed node tracks every loop exactly.  The origin is treated as
+    having no out-edge.
+
+    This is the one implementation of loop tracking: {!Scanner.scan}
+    folds it over a recorded history, churn and mesh runs feed it one
+    change at a time without retaining a history.  The test suite
+    checks it against a brute-force oracle that recomputes every cycle
+    after every change.
 
     State is plain data (no closures): churn checkpoints Marshal it
     directly, which is why the observability bus is an argument to
@@ -14,8 +24,29 @@
       {!totals} are maintained, O(nodes) state regardless of run
       length.
     - [record = true]: additionally retains every finished loop so
-      {!report} can produce a {!Scanner.report} for differential
-      comparison against the post-hoc scanner. *)
+      {!report} can list each loop (the form {!Scanner.scan}
+      returns). *)
+
+type loop = {
+  members : int list;
+      (** the cycle in forwarding order, starting at its smallest
+          member *)
+  birth : float;
+  death : float option;  (** [None] if alive at the end of the scan *)
+  trigger : int;
+      (** the node whose next-hop change created the cycle (a cycle can
+          only form through the changed node's new edge) *)
+}
+
+type report = {
+  loops : loop list;
+      (** by birth time, then members; loops equal in both (one born
+          and killed at an instant, then re-formed) in birth order *)
+  first_loop_birth : float option;
+  last_loop_death : float option;
+      (** [None] when no loop formed or one survived the scan *)
+  max_concurrent : int;  (** most loops alive at once *)
+}
 
 type t
 
@@ -65,7 +96,6 @@ type totals = {
 val totals : t -> until:float -> totals
 (** Aggregates; available in both modes. *)
 
-val report : t -> Scanner.report
-(** Full per-loop report, identical in shape and ordering to
-    {!Scanner.scan}'s (survivors carry [death = None]).
+val report : t -> report
+(** Full per-loop report; survivors carry [death = None].
     @raise Invalid_argument unless created with [~record:true]. *)

@@ -6,8 +6,8 @@
    - checkpoint/resume exactness: a run killed at an epoch boundary
      and resumed reproduces the uninterrupted run's digest chain
      bit-for-bit (the golden-digest acceptance criterion);
-   - the streaming loop scanner agrees with the post-hoc scanner on
-     the same churn-generated FIB history;
+   - the streaming loop scanner agrees with the brute-force cycle
+     oracle on the same churn-generated FIB history;
    - arena compaction is invisible: a compact-every-epoch run and a
      never-compacting run emit identical traces, and re-interning
      preserves every handle's contents, hash and membership answers;
@@ -341,15 +341,9 @@ let test_wall_budget_mid_horizon () =
   Alcotest.(check bool) "cut before the horizon" true
     (r.epochs_completed < 1000)
 
-(* --- streaming scanner vs post-hoc scanner on a churn history --- *)
+(* --- streaming scanner vs the brute-force oracle on a churn history --- *)
 
-let loop_repr (l : Loopscan.Scanner.loop) =
-  fmt "members=%s trigger=%d birth=%h death=%s"
-    (String.concat "," (List.map string_of_int l.members))
-    l.trigger l.birth
-    (match l.death with None -> "alive" | Some d -> fmt "%h" d)
-
-let test_stream_matches_posthoc_on_churn () =
+let test_stream_matches_oracle_on_churn () =
   let r =
     Churn.Driver.run
       (base_cfg ~epochs:6 ~flap_rate:8. ~record_loops:true
@@ -359,21 +353,15 @@ let test_stream_matches_posthoc_on_churn () =
   let streaming = Option.get r.loops in
   (* [scan_begin] is the warm-up drain instant: changes AT it belong to
      the scanner's starting snapshot, strictly-later ones to the scan *)
-  let post =
-    Loopscan.Scanner.scan ~fib ~origin:(origin_of (graph_of 20))
-      ~from:(Float.succ r.scan_begin) ()
+  let expected =
+    Loop_oracle.report ~fib ~origin:(origin_of (graph_of 20))
+      ~from:(Float.succ r.scan_begin)
   in
   Alcotest.(check bool) "churn produced loops" true
-    (List.length post.loops > 0);
-  Alcotest.(check (list string)) "loop-for-loop identical"
-    (List.map loop_repr post.loops)
-    (List.map loop_repr streaming.loops);
-  Alcotest.(check int) "max concurrent" post.max_concurrent
-    streaming.max_concurrent;
-  Alcotest.(check (option (float 0.))) "first birth" post.first_loop_birth
-    streaming.first_loop_birth;
-  Alcotest.(check (option (float 0.))) "last death" post.last_loop_death
-    streaming.last_loop_death
+    (List.length expected.loops > 0);
+  Alcotest.(check (list string)) "streamed report = oracle"
+    (Loop_oracle.report_repr expected)
+    (Loop_oracle.report_repr streaming)
 
 (* --- arena compaction properties --- *)
 
@@ -488,7 +476,7 @@ let () =
       ( "streaming scanner",
         [
           tc "stream = post-hoc on churn history"
-            test_stream_matches_posthoc_on_churn;
+            test_stream_matches_oracle_on_churn;
         ] );
       ( "compaction",
         [

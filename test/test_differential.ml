@@ -20,18 +20,12 @@ let change_repr (c : Netcore.Fib_history.change) =
   fmt "t=%h node=%d nh=%s" c.time c.node
     (match c.next_hop with None -> "-" | Some n -> string_of_int n)
 
-let loop_repr (l : Loopscan.Scanner.loop) =
-  fmt "members=%s trigger=%d birth=%h death=%s"
-    (String.concat "," (List.map string_of_int l.members))
-    l.trigger l.birth
-    (match l.death with None -> "alive" | Some d -> fmt "%h" d)
-
 let fib_changes fib =
   List.map change_repr (Netcore.Fib_history.changes_from fib ~from:0.)
 
 let loops ~fib ~origin ~from =
   let r = Loopscan.Scanner.scan ~fib ~origin ~from () in
-  List.map loop_repr r.loops
+  List.map Loop_oracle.loop_repr r.loops
 
 (* --- Routing_sim vs Mesh_sim on one prefix --- *)
 
@@ -66,7 +60,7 @@ let check_single_prefix_equivalence ~name ~graph ~origin ~seed =
     ms.victim_messages;
   Alcotest.(check int) (name ^ ": events") rs.events_executed ms.events_executed;
   (* the mesh's streaming scan vs a post-hoc scan of Routing_sim's
-     history: both workloads and both scanner implementations agree *)
+     history: both workloads feed the loop tracker the same changes *)
   match ms.loop_reports with
   | [ (_, streamed) ] ->
       Alcotest.(check bool)
@@ -141,43 +135,30 @@ let test_fixture_runs_are_deterministic () =
         (loops ~fib:(Netcore.Trace.fib b.trace) ~origin ~from:b.t_fail))
     Bgpsim.Golden.fixtures
 
-(* --- streaming scanner vs post-hoc scanner --- *)
+(* --- streaming scanner vs the brute-force oracle --- *)
 
-(* The online scanner ({!Loopscan.Stream}) must reproduce the post-hoc
-   scan exactly: seed it with the snapshot just before [from], replay
-   every change with [time >= from], and the resulting report has to
-   match loop for loop (members, trigger, birth, death) as well as in
-   its aggregates. *)
-let check_stream_matches_posthoc ~name ~fib ~origin ~from =
-  let post = Loopscan.Scanner.scan ~fib ~origin ~from () in
-  let stream =
-    Loopscan.Stream.create ~record:true ~origin
-      ~initial:(Netcore.Fib_history.snapshot fib ~before:from)
-      ()
-  in
-  List.iter
-    (fun (c : Netcore.Fib_history.change) ->
-      Loopscan.Stream.observe stream ~time:c.time ~node:c.node
-        ~next_hop:c.next_hop)
-    (Netcore.Fib_history.changes_from fib ~from);
-  let online = Loopscan.Stream.report stream in
+(* Loop tracking must match {!Loop_oracle}, which recomputes every
+   cycle after every change: [Scanner.scan] loop for loop (members,
+   trigger, birth, death) and in its report fields, and a
+   bounded-memory [Stream] fed the same changes in its totals. *)
+let check_stream_matches_oracle ~name ~fib ~origin ~from =
+  let expected = Loop_oracle.report ~fib ~origin ~from in
   Alcotest.(check (list string))
-    (name ^ ": loop-for-loop")
-    (List.map loop_repr post.loops)
-    (List.map loop_repr online.loops);
-  Alcotest.(check int)
-    (name ^ ": max concurrent")
-    post.max_concurrent online.max_concurrent;
-  Alcotest.(check (option (float 0.)))
-    (name ^ ": first birth")
-    post.first_loop_birth online.first_loop_birth;
-  Alcotest.(check (option (float 0.)))
-    (name ^ ": last death")
-    post.last_loop_death online.last_loop_death;
-  Alcotest.(check int)
-    (name ^ ": live loops")
-    (List.length (List.filter (fun l -> l.Loopscan.Scanner.death = None) post.loops))
-    (Loopscan.Stream.live_loops stream)
+    (name ^ ": scan = oracle")
+    (Loop_oracle.report_repr expected)
+    (Loop_oracle.report_repr (Loopscan.Scanner.scan ~fib ~origin ~from ()));
+  let until =
+    Float.max from
+      (Option.value ~default:from (Netcore.Fib_history.last_change_time fib))
+    +. 1.
+  in
+  let want = Loop_oracle.totals expected ~until
+  and got = Loop_oracle.stream_totals ~fib ~origin ~from ~until in
+  Alcotest.(check bool)
+    (fmt "%s: totals = oracle (oracle %s, stream %s)" name
+       (Loop_oracle.totals_repr want) (Loop_oracle.totals_repr got))
+    true
+    (Loop_oracle.totals_agree want got)
 
 let test_stream_on_golden_fixtures () =
   List.iter
@@ -187,7 +168,7 @@ let test_stream_on_golden_fixtures () =
         Bgp.Routing_sim.run ~params:f.spec.params ~graph ~origin ~event
           ~seed:f.spec.seed ()
       in
-      check_stream_matches_posthoc ~name:f.name
+      check_stream_matches_oracle ~name:f.name
         ~fib:(Netcore.Trace.fib rs.trace) ~origin ~from:rs.t_fail)
     Bgpsim.Golden.fixtures
 
@@ -203,7 +184,7 @@ let test_stream_on_random_topologies () =
             | [] -> 0
           in
           let rs = Bgp.Routing_sim.run ~graph ~origin ~event:Tdown ~seed () in
-          check_stream_matches_posthoc
+          check_stream_matches_oracle
             ~name:(fmt "internet-%d/seed-%d" n seed)
             ~fib:(Netcore.Trace.fib rs.trace) ~origin ~from:rs.t_fail)
         [ 1; 2; 3; 4 ])
@@ -217,7 +198,7 @@ let test_stream_from_cold_start () =
     match Topo.Internet.stub_nodes graph with o :: _ -> o | [] -> 0
   in
   let rs = Bgp.Routing_sim.run ~graph ~origin ~event:Tdown ~seed:7 () in
-  check_stream_matches_posthoc ~name:"cold start"
+  check_stream_matches_oracle ~name:"cold start"
     ~fib:(Netcore.Trace.fib rs.trace) ~origin ~from:0.
 
 (* --- QCheck: the arena against the list model --- *)

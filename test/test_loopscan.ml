@@ -152,6 +152,29 @@ let test_rejects_looped_start () =
        false
      with Invalid_argument _ -> true)
 
+(* 1 -> 2 -> 3 -> 2: the start holds a loop that the chase from node
+   1 reaches only through a tail *)
+let test_rejects_loop_behind_tail () =
+  let initial = [| None; Some 2; Some 3; Some 2 |] in
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "scan raises" true
+    (raises (fun () ->
+         scan ~n:4 [ (0., 1, Some 2); (0., 2, Some 3); (0., 3, Some 2) ]));
+  Alcotest.(check bool) "stream raises" true
+    (raises (fun () -> Loopscan.Stream.create ~origin:0 ~initial ()))
+
+let test_rejects_bad_origin () =
+  let fib = fib_with ~n:3 [ (0., 1, Some 0); (0., 2, Some 1) ] in
+  List.iter
+    (fun origin ->
+      Alcotest.(check bool) (Printf.sprintf "origin %d" origin) true
+        (match Loopscan.Scanner.scan ~fib ~origin ~from:1. () with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ -1; 3 ]
+
 let test_change_killing_and_reforming_at_once () =
   (* node 1 changes its next hop from one loop-mate to another at the
      same instant: old loop dies at t, new loop (1,3) born at t *)
@@ -318,6 +341,64 @@ let prop_scanner_consistent_with_forwarder =
                [ 1; 2; 3; 4 ])
         [ 60.; 70. ])
 
+(* --- property: scan = brute-force cycle oracle --- *)
+
+(* Random histories on a 1/8 s grid: changes share instants (at one
+   node too), next hops include self-loops and [None], the origin may
+   have a next hop, and [from] falls anywhere — a looped start
+   included, which both sides must reject. *)
+let arb_history =
+  let open QCheck.Gen in
+  let gen =
+    int_range 1 8 >>= fun n ->
+    let node = int_range 0 (n - 1) in
+    quad (return n) node
+      (list_size (int_range 0 40) (triple (int_range 0 16) node (opt node)))
+      (int_range 0 18)
+  in
+  let print (n, origin, changes, from) =
+    Printf.sprintf "n=%d origin=%d from=%d/8 changes=[%s]" n origin from
+      (String.concat "; "
+         (List.map
+            (fun (tick, node, hop) ->
+              Printf.sprintf "%d/8:%d->%s" tick node
+                (match hop with None -> "-" | Some h -> string_of_int h))
+            changes))
+  in
+  QCheck.make ~print gen
+
+let prop_scan_matches_oracle =
+  QCheck.Test.make ~name:"scan = brute-force cycle oracle" ~count:1000
+    ~long_factor:10 arb_history (fun (n, origin, changes, from_tick) ->
+      let grid tick = float_of_int tick /. 8. in
+      let fib =
+        List.stable_sort (fun (a, _, _) (b, _, _) -> compare a b) changes
+        |> List.map (fun (tick, node, hop) -> (grid tick, node, hop))
+        |> fib_with ~n
+      in
+      let from = grid from_tick in
+      let attempt f =
+        match f () with r -> Some r | exception Invalid_argument _ -> None
+      in
+      match
+        ( attempt (fun () -> Loop_oracle.report ~fib ~origin ~from),
+          attempt (fun () -> Loopscan.Scanner.scan ~fib ~origin ~from ()) )
+      with
+      | None, None -> true
+      | Some want, Some got when want = got ->
+          let want = Loop_oracle.totals want ~until:3.
+          and got = Loop_oracle.stream_totals ~fib ~origin ~from ~until:3. in
+          Loop_oracle.totals_agree want got
+          || QCheck.Test.fail_reportf "totals: oracle %s, stream %s"
+               (Loop_oracle.totals_repr want) (Loop_oracle.totals_repr got)
+      | want, got ->
+          let show = function
+            | None -> "Invalid_argument"
+            | Some r -> String.concat "\n  " (Loop_oracle.report_repr r)
+          in
+          QCheck.Test.fail_reportf "oracle:\n  %s\nscan:\n  %s" (show want)
+            (show got))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "loopscan"
@@ -336,6 +417,9 @@ let () =
           tc "rejects looped starting state" test_rejects_looped_start;
           tc "kill and re-form at one instant"
             test_change_killing_and_reforming_at_once;
+          tc "rejects a loop reached through a tail"
+            test_rejects_loop_behind_tail;
+          tc "rejects an out-of-range origin" test_rejects_bad_origin;
         ] );
       ( "aggregate",
         [
@@ -349,6 +433,8 @@ let () =
           tc "figure-1 run classifies fully" test_causes_on_real_run;
         ] );
       ( "properties",
-        [ QCheck_alcotest.to_alcotest prop_scanner_consistent_with_forwarder ]
-      );
+        [
+          QCheck_alcotest.to_alcotest prop_scanner_consistent_with_forwarder;
+          QCheck_alcotest.to_alcotest prop_scan_matches_oracle;
+        ] );
     ]

@@ -10,8 +10,8 @@
    Properties: the batched per-peer MRAI releases each pending key
    exactly once per expiry and behaves like one independent timer per
    key; packed (prefix, peer) keys round-trip injectively; the
-   streaming per-prefix loop scans of a mesh run equal N independent
-   post-hoc scans of its FIB histories. *)
+   streaming per-prefix loop scans of a mesh run equal the brute-force
+   cycle oracle over each of its FIB histories. *)
 
 (* --- multi-origin behaviour and validation --- *)
 
@@ -343,7 +343,7 @@ let prop_batched_mrai_equals_naive =
       let ops = List.stable_sort (fun a b -> compare a.at b.at) ops in
       run_batched ops = run_naive ops)
 
-(* --- QCheck: mesh streaming scans = N independent post-hoc scans --- *)
+(* --- QCheck: mesh streaming scans = N brute-force oracle scans --- *)
 
 let prop_mesh_scans_equal_posthoc =
   QCheck.Test.make ~count:8 ~name:"mesh streaming scans = post-hoc scans"
@@ -356,9 +356,8 @@ let prop_mesh_scans_equal_posthoc =
            (fun (p, fib) (p', streamed) ->
              Bgp.Prefix.equal p p'
              && streamed
-                = Loopscan.Scanner.scan ~fib
-                    ~origin:(Bgp.Prefix.origin p)
-                    ~from:o.t_fail ())
+                = Loop_oracle.report ~fib ~origin:(Bgp.Prefix.origin p)
+                    ~from:o.t_fail)
            o.prefixes o.loop_reports)
 
 let () =
